@@ -1,0 +1,169 @@
+package exper
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+
+	"nscc/internal/bayes"
+	"nscc/internal/core"
+	"nscc/internal/faults"
+	"nscc/internal/ga"
+	"nscc/internal/ga/functions"
+	"nscc/internal/graph"
+	"nscc/internal/metrics"
+	"nscc/internal/netsim"
+	"nscc/internal/sim"
+	"nscc/internal/tseries"
+)
+
+// Golden telemetry fingerprints.
+//
+// The sweep pins above hash result rows only; these hash the complete
+// result struct of single runs plus their whole metrics.Telemetry block
+// (per-task accounting, network aggregates, staleness, violations, race
+// classification, windowed series). The runs switch on every optional
+// layer of the simulated cluster at once — loader, fault plan, reliable
+// delivery, read timeout, race checker, series — so a change to how the
+// cluster is assembled or how its telemetry is collected shows up as a
+// mismatch. Regenerate only after an intentional result-affecting change:
+//
+//	go test ./internal/exper -run TestGoldenTelemetry -v -update-goldens
+const (
+	goldenTelemetryGABus  = "1467370895d30f2bce158caa1939265c1dafb5bd51f4824617f3cf3872bc2d6d"
+	goldenTelemetryGAHier = "d8662ec7df09ddc9e54e4ab81b4bf10591a1c73535df2815a3d39cd023be2e12"
+	goldenTelemetryBayes  = "20205f9207a2143f3e1d04146726ef63370e52e3313beb41594f06568121e1ec"
+	goldenTelemetryGraph  = "94c6581e75e4e904f1b7b26e19b30a47a0e64bc9558cd390ebead083fad4b9f0"
+)
+
+// telemetryHash fingerprints a run result and its telemetry block. The
+// result is serialized with its Telemetry pointer cleared so the block
+// is hashed once, by value.
+func telemetryHash(t *testing.T, res interface{}, tel *metrics.Telemetry) string {
+	t.Helper()
+	if tel == nil {
+		t.Fatal("run returned no telemetry")
+	}
+	h := sha256.New()
+	for _, v := range []interface{}{res, tel} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func checkTelemetryGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	if *updateGoldens {
+		t.Logf("%s = %q", name, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s fingerprint changed:\n got  %s\n want %s", name, got, want)
+	}
+}
+
+func smokePlan(t *testing.T) *faults.Plan {
+	t.Helper()
+	plan, err := faults.LoadFile("../faults/testdata/smoke-plan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func TestGoldenTelemetry(t *testing.T) {
+	gaCfg := func() ga.IslandConfig {
+		return ga.IslandConfig{
+			Fn: functions.F1, Par: ga.DeJongParams(), P: 4,
+			Mode: core.NonStrict, Age: 3,
+			FixedGens: 30, MinGens: 30, MaxGens: 120, Target: 1,
+			Seed: 11, Calib: ga.DefaultCalibration(),
+			Reliable:    true,
+			ReadTimeout: 50 * sim.Millisecond,
+			RaceCheck:   true,
+			Series:      tseries.NewSet(tseries.DefaultWindow),
+		}
+	}
+
+	t.Run("ga-bus", func(t *testing.T) {
+		cfg := gaCfg()
+		cfg.LoaderBps = 2e6
+		cfg.Faults = smokePlan(t)
+		res, err := ga.RunIsland(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := res.Telemetry
+		res.Telemetry = nil
+		checkTelemetryGolden(t, "goldenTelemetryGABus", telemetryHash(t, res, tel), goldenTelemetryGABus)
+	})
+
+	t.Run("ga-hier", func(t *testing.T) {
+		cfg := gaCfg()
+		cfg.P = 12
+		cfg.Topology = ga.GossipRandom
+		h := netsim.DefaultHierConfig()
+		h.RackSize = 4
+		cfg.Hier = &h
+		res, err := ga.RunIsland(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := res.Telemetry
+		res.Telemetry = nil
+		checkTelemetryGolden(t, "goldenTelemetryGAHier", telemetryHash(t, res, tel), goldenTelemetryGAHier)
+	})
+
+	t.Run("bayes-switch", func(t *testing.T) {
+		sw := netsim.DefaultSwitchConfig()
+		bn := bayes.Figure1()
+		res, err := bayes.RunParallel(bayes.ParallelConfig{
+			Net:   bn,
+			Query: bayes.Query{Node: 3, State: 1, Evidence: map[int]int{0: 1}},
+			P:     2, Mode: core.NonStrict, Age: 5,
+			Precision: 0.05, MaxIters: 50000,
+			Seed: 17, Calib: bayes.DefaultCalibration(),
+			SwitchCfg:   &sw,
+			Faults:      smokePlan(t),
+			Reliable:    true,
+			ReadTimeout: 50 * sim.Millisecond,
+			RaceCheck:   true,
+			Series:      tseries.NewSet(tseries.DefaultWindow),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := res.Telemetry
+		res.Telemetry = nil
+		checkTelemetryGolden(t, "goldenTelemetryBayes", telemetryHash(t, res, tel), goldenTelemetryBayes)
+	})
+
+	t.Run("graph-bus", func(t *testing.T) {
+		g, err := graph.ParseTopoSpec("random:n=40,m=80,seed=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := graph.Run(graph.Config{
+			G: g, Algo: graph.PageRank, P: 4,
+			Mode: core.NonStrict, Age: 2,
+			MaxSupersteps: 4000,
+			Seed:          5, Calib: graph.DefaultCalibration(),
+			Faults:      smokePlan(t),
+			Reliable:    true,
+			ReadTimeout: 50 * sim.Millisecond,
+			RaceCheck:   true,
+			Series:      tseries.NewSet(tseries.DefaultWindow),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := res.Telemetry
+		res.Telemetry = nil
+		checkTelemetryGolden(t, "goldenTelemetryGraph", telemetryHash(t, res, tel), goldenTelemetryGraph)
+	})
+}
