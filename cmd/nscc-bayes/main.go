@@ -10,11 +10,9 @@ import (
 	"os"
 
 	"nscc/internal/bayes"
+	"nscc/internal/cluster/clusterflag"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/netsim"
-	"nscc/internal/obs"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/traceio"
 	"nscc/internal/tseries"
@@ -36,25 +34,12 @@ func main() {
 		batch    = flag.Int64("batch", 0, "update-batching depth (0 = mode default)")
 		trOut    = flag.String("trace-out", "", "write the run's Chrome trace_event JSON to this file")
 		metOut   = flag.String("metrics-out", "", "write the run's telemetry JSON to this file")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to the simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
+		cf       = clusterflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cf.Start()
+	defer cf.Close()
+	srv := cf.Server
 
 	var bn *bayes.Network
 	if *netName == "figure1" {
@@ -95,33 +80,19 @@ func main() {
 		Seed: *seed, Calib: calib, LoaderBps: *load,
 		RandomDefaults: *randDef,
 		Batch:          *batch,
-		Reliable:       *reliable,
-		RaceCheck:      *simRace,
-	}
-	cfg.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
+		Faults:         cf.Faults, Reliable: cf.Reliable, ReadTimeout: cf.ReadTimeout,
+		RaceCheck: cf.SimRace,
 	}
 	if *swFabric {
 		sw := netsim.DefaultSwitchConfig()
 		cfg.SwitchCfg = &sw
 	}
-	switch *mode {
-	case "sync":
-		cfg.Mode = core.Sync
-	case "async":
-		cfg.Mode = core.Async
-	case "global_read":
-		cfg.Mode = core.NonStrict
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	mo, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg.Mode = mo
 
 	var rec *trace.Recorder
 	if *trOut != "" {

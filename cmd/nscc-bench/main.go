@@ -42,14 +42,12 @@ import (
 
 	"nscc/internal/benchio"
 	"nscc/internal/ckpt"
+	"nscc/internal/cluster/clusterflag"
 	"nscc/internal/exper"
-	"nscc/internal/faults"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/obs"
 	"nscc/internal/runner"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/traceio"
 )
@@ -73,14 +71,10 @@ func main() {
 		benchOut = flag.String("bench-out", "", "write a BENCH_*.json performance snapshot to this path")
 		cacheDir = flag.String("cache-dir", "", "journal every completed sweep cell into crash-safe per-sweep journals under this directory")
 		resume   = flag.Bool("resume", false, "replay cells already journaled in -cache-dir instead of recomputing them (requires -cache-dir)")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
 		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the age sweep)")
 		raceOut  = flag.String("simrace-out", "", "write the age sweep's merged per-location race report JSON to this file (requires -simrace and -exp agesweep; feed it to nscc-lint -simrace-report)")
 		profOut  = flag.String("profile-out", "", "write host pprof profiles of the run to PREFIX.cpu.pprof and PREFIX.heap.pprof (profile-guided optimization input; results are unchanged)")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
+		cf       = clusterflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -93,17 +87,9 @@ func main() {
 		defer stop()
 	}
 
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cf.Start()
+	defer cf.Close()
+	srv := cf.Server
 
 	opts := exper.Quick()
 	if *profile == "full" {
@@ -123,23 +109,13 @@ func main() {
 	}
 	opts.UseSwitch = *useSw
 	opts.Workers = *workers
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Faults = plan
-	}
-	opts.Reliable = *reliable
-	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
+	opts.Faults, opts.Reliable, opts.ReadTimeout, opts.SimRace = cf.Faults, cf.Reliable, cf.ReadTimeout, cf.SimRace
 	if *lossProb < 0 || *lossProb > 1 {
 		fmt.Fprintf(os.Stderr, "-loss must be in [0,1]\n")
 		os.Exit(2)
 	}
 	opts.LossProb = *lossProb
-	opts.SimRace = *simRace
-	if *raceOut != "" && !*simRace {
+	if *raceOut != "" && !cf.SimRace {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}

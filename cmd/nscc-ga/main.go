@@ -10,13 +10,11 @@ import (
 	"fmt"
 	"os"
 
+	"nscc/internal/cluster/clusterflag"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/netsim"
-	"nscc/internal/obs"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/traceio"
 	"nscc/internal/tseries"
@@ -41,31 +39,18 @@ func main() {
 		dynAge     = flag.Bool("dynage", false, "adapt the Global_Read age at run time")
 		trOut      = flag.String("trace-out", "", "write the run's Chrome trace_event JSON to this file")
 		metOut     = flag.String("metrics-out", "", "write the run's telemetry JSON to this file")
-		faultsF    = flag.String("faults", "", "apply the fault plan in this JSON file to the simulated cluster")
-		reliable   = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo     = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		simRace    = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker")
 		raceOut    = flag.String("simrace-out", "", "write the per-location race report JSON to this file (requires -simrace; feed it to nscc-lint -simrace-report)")
-		httpAddr   = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
+		cf         = clusterflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
-	if *raceOut != "" && !*simRace {
+	if *raceOut != "" && !cf.SimRace {
 		fmt.Fprintln(os.Stderr, "-simrace-out requires -simrace")
 		os.Exit(2)
 	}
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cf.Start()
+	defer cf.Close()
+	srv := cf.Server
 
 	fn := functions.ByNo(*fnNo)
 	par := ga.DeJongParams()
@@ -83,17 +68,8 @@ func main() {
 		Interval:   *interval,
 		DynamicAge: *dynAge,
 		NodeOpts:   core.Options{Window: *window, Coalesce: *window > 0},
-		Reliable:   *reliable,
-		RaceCheck:  *simRace,
-	}
-	cfg.ReadTimeout = sim.Duration(readTo.Nanoseconds())
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
+		Faults:     cf.Faults, Reliable: cf.Reliable, ReadTimeout: cf.ReadTimeout,
+		RaceCheck: cf.SimRace,
 	}
 	topo, err := ga.ParseTopology(*topology)
 	if err != nil {
@@ -112,17 +88,12 @@ func main() {
 		}
 		cfg.Hier = &h
 	}
-	switch *mode {
-	case "sync":
-		cfg.Mode = core.Sync
-	case "async":
-		cfg.Mode = core.Async
-	case "global_read":
-		cfg.Mode = core.NonStrict
-		cfg.Age = *age
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	if cfg.Mode, err = core.ParseMode(*mode); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if cfg.Mode == core.NonStrict {
+		cfg.Age = *age
 	}
 	if cfg.Mode != core.Sync {
 		// Quality target: the synchronous run's final population average.

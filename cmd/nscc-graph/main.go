@@ -28,11 +28,9 @@ import (
 	"time"
 
 	"nscc/internal/ckpt"
+	"nscc/internal/cluster/clusterflag"
 	"nscc/internal/exper"
-	"nscc/internal/faults"
 	"nscc/internal/graph"
-	"nscc/internal/obs"
-	"nscc/internal/sim"
 )
 
 func main() {
@@ -47,26 +45,12 @@ func main() {
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "journal every completed sweep cell into a crash-safe journal under this directory")
 		resume   = flag.Bool("resume", false, "replay cells already journaled in -cache-dir instead of recomputing them (requires -cache-dir)")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to every simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
 		lossProb = flag.Float64("loss", 0, "override the Ethernet model's per-frame loss probability")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker (adds race columns to the CSV)")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address; strictly observer-side")
+		cf       = clusterflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "-- live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cf.Start()
+	defer cf.Close()
 
 	opts := exper.Quick()
 	if *trials > 0 {
@@ -77,22 +61,12 @@ func main() {
 	}
 	opts.UseSwitch = *useSw
 	opts.Workers = *workers
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Faults = plan
-	}
-	opts.Reliable = *reliable
-	opts.ReadTimeout = sim.Duration(readTo.Nanoseconds())
+	opts.Faults, opts.Reliable, opts.ReadTimeout, opts.SimRace = cf.Faults, cf.Reliable, cf.ReadTimeout, cf.SimRace
 	if *lossProb < 0 || *lossProb > 1 {
 		fmt.Fprintln(os.Stderr, "-loss must be in [0,1]")
 		os.Exit(2)
 	}
 	opts.LossProb = *lossProb
-	opts.SimRace = *simRace
 	if *resume && *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -cache-dir")
 		os.Exit(2)
@@ -102,8 +76,8 @@ func main() {
 		store = ckpt.NewStore(*cacheDir, *resume)
 		opts.Ckpt = store
 	}
-	if srv != nil {
-		opts.Progress = srv
+	if cf.Server != nil {
+		opts.Progress = cf.Server
 	}
 
 	var specs []string
@@ -164,8 +138,8 @@ func main() {
 
 	if store != nil {
 		c := store.Counters()
-		if srv != nil {
-			srv.PublishCache(c)
+		if cf.Server != nil {
+			cf.Server.PublishCache(c)
 		}
 		fmt.Fprintf(os.Stderr, "-- cache: %d hits, %d misses, %d invalidated, %d torn (dir=%s)\n",
 			c.Hits, c.Misses, c.Invalidated, c.TornRecords, store.Dir())

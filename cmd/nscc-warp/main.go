@@ -18,14 +18,12 @@ import (
 	"fmt"
 	"os"
 
+	"nscc/internal/cluster/clusterflag"
 	"nscc/internal/core"
-	"nscc/internal/faults"
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/obs"
 	"nscc/internal/report"
-	"nscc/internal/sim"
 	"nscc/internal/trace"
 	"nscc/internal/traceio"
 	"nscc/internal/tseries"
@@ -33,32 +31,19 @@ import (
 
 func main() {
 	var (
-		fnNo     = flag.Int("func", 1, "test function number (1..8)")
-		procs    = flag.Int("procs", 16, "number of islands / processors")
-		gens     = flag.Int64("gens", 150, "generation budget")
-		load     = flag.Float64("load", 0, "background loader rate in bits/s")
-		seed     = flag.Int64("seed", 1, "random seed")
-		faultsF  = flag.String("faults", "", "apply the fault plan in this JSON file to the simulated cluster")
-		reliable = flag.Bool("reliable", false, "use sequence-numbered ack/retransmit message delivery")
-		readTo   = flag.Duration("read-timeout", 0, "bound Global_Read blocking in virtual time (e.g. 50ms; 0 = wait forever)")
-		simRace  = flag.Bool("simrace", false, "classify every cross-process read with the simulated-time race checker")
-		trOut    = flag.String("trace-out", "", "write the gr(age=10) run's Chrome trace_event JSON to this file")
-		metOut   = flag.String("metrics-out", "", "write every run's telemetry JSON (keyed by run name) to this file")
-		httpAddr = flag.String("http", "", "serve the live status page, OpenMetrics /metrics, and /debug/pprof on this address (e.g. :8080); strictly observer-side, results are unchanged")
+		fnNo   = flag.Int("func", 1, "test function number (1..8)")
+		procs  = flag.Int("procs", 16, "number of islands / processors")
+		gens   = flag.Int64("gens", 150, "generation budget")
+		load   = flag.Float64("load", 0, "background loader rate in bits/s")
+		seed   = flag.Int64("seed", 1, "random seed")
+		trOut  = flag.String("trace-out", "", "write the gr(age=10) run's Chrome trace_event JSON to this file")
+		metOut = flag.String("metrics-out", "", "write every run's telemetry JSON (keyed by run name) to this file")
+		cf     = clusterflag.Register(flag.CommandLine)
 	)
 	flag.Parse()
-
-	var srv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		srv, err = obs.Start(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live status on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
-	}
+	cf.Start()
+	defer cf.Close()
+	srv := cf.Server
 
 	fn := functions.ByNo(*fnNo)
 	par := ga.DeJongParams()
@@ -67,17 +52,10 @@ func main() {
 		Fn: fn, Par: par, P: *procs,
 		FixedGens: *gens, MinGens: *gens, MaxGens: 4 * *gens,
 		Seed: *seed, Calib: calib, LoaderBps: *load,
-		Reliable:    *reliable,
-		ReadTimeout: sim.Duration(readTo.Nanoseconds()),
-		RaceCheck:   *simRace,
-	}
-	if *faultsF != "" {
-		plan, err := faults.LoadFile(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
-		base.Faults = plan
+		Faults:      cf.Faults,
+		Reliable:    cf.Reliable,
+		ReadTimeout: cf.ReadTimeout,
+		RaceCheck:   cf.SimRace,
 	}
 
 	// Series recording (and the telemetry artifact) only when the data

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/metrics"
@@ -12,7 +13,6 @@ import (
 	"nscc/internal/pvm"
 	"nscc/internal/rollback"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
 )
@@ -363,51 +363,13 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 		panic("bayes: MaxIters must be positive")
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.SwitchCfg != nil {
-		sw := netsim.NewSwitch(eng, *cfg.SwitchCfg)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.NetCfg != nil {
-			netCfg = *cfg.NetCfg
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
-	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
-	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Message pooling is safe only without fault injection: duplication
-	// re-delivers the same payload pointer, which would double-release.
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	if cfg.LoaderBps > 0 {
-		netsim.StartLoader(net, cfg.LoaderBps, 1024)
-	}
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
-	}
+	cl := cluster.New(cluster.Config{
+		Seed: cfg.Seed, Tracer: cfg.Tracer,
+		Net: cfg.NetCfg, Switch: cfg.SwitchCfg,
+		LoaderBps: cfg.LoaderBps, PVM: cfg.PVM,
+		Faults: cfg.Faults, Reliable: cfg.Reliable, ReadTimeout: cfg.ReadTimeout,
+		RaceCheck: cfg.RaceCheck, Series: cfg.Series,
+	})
 
 	topo := buildTopology(bn, cfg.Query, cfg.P, cfg.Seed)
 	flat := newLUT(bn, cfg.Query)
@@ -421,10 +383,6 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 
 	res := ParallelResult{EdgeCut: topo.cut, HalfWidth: math.Inf(1)}
 	workers := make([]*worker, cfg.P)
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitMax sim.Duration
-	remaining := cfg.P
 
 	for p := 0; p < cfg.P; p++ {
 		p := p
@@ -496,10 +454,10 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 		}
 		workers[p] = w
 
-		machine.Spawn("part", func(task *pvm.Task) {
+		cl.Machine.Spawn("part", func(task *pvm.Task) {
 			w.task = task
 			w.jit = cfg.Calib.NewJitterer(task.Proc().Rng())
-			w.node = core.NewNode(task, core.Options{Observer: w.observe, ReadTimeout: cfg.ReadTimeout, Races: raceObserver(rc), Series: cfg.Series})
+			w.node = core.NewNode(task, cl.NodeOptions(core.Options{Observer: w.observe}))
 			for _, ls := range topo.bundleLocs {
 				for _, l := range ls {
 					w.node.Register(l)
@@ -508,36 +466,26 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 			for _, l := range topo.progLocs {
 				w.node.Register(l)
 			}
-			w.run(func(at sim.Time) {
-				if d := at.Sub(0); d > exitMax {
-					exitMax = d
-				}
-				st := w.node.Stats()
+			w.run(func() {
+				st := cl.Retire(task, w.node)
 				res.BlockedTime += st.BlockedTime
 				res.Blocked += st.BlockedReads
-				coreStats[p] = st
-				staleHist.Merge(w.node.Staleness())
 				rs := w.store.Stats()
 				res.Rollbacks += rs.Rollbacks
 				res.Replayed += w.replayed
 				res.Gambles += rs.Gambles
 				res.Conflicts += rs.Conflicts
 				res.Retracts += rs.Retracts
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
 			})
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		return res, err
 	}
 
 	cw := workers[topo.coordinator]
 	res.Iters = int64(len(cw.log))
-	res.Completion = exitMax
 	res.ReachedPrecision = cw.stopped
 	hits, acc := cw.countUpTo(cw.finalWatermark())
 	res.Accepted = acc
@@ -545,62 +493,11 @@ func RunParallel(cfg ParallelConfig) (ParallelResult, error) {
 		res.Prob = float64(hits) / float64(acc)
 		res.HalfWidth = metrics.ProportionCI90HalfWidth(res.Prob, int(acc))
 	}
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-	res.WarpWindows = warpSeries.Windows()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		// Copy the warp series into the set as gauge "pvm.warp" (one
-		// sample per 100 ms window, at the window's start) so the export
-		// carries warp alongside the other windowed series.
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range res.WarpWindows {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
-	}
+	fin := cl.Finish(cfg.Mode, cfg.Age)
+	res.Completion, res.Messages, res.NetBytes, res.QueueDelay = fin.Completion, fin.Messages, fin.NetBytes, fin.QueueDelay
+	res.WarpMean, res.WarpMax, res.WarpWindows = fin.WarpMean, fin.WarpMax, fin.WarpWindows
+	res.Telemetry = fin.Telemetry
 	return res, nil
-}
-
-// raceObserver converts a possibly-nil *simrace.Checker into the
-// core.Options field without storing a non-nil interface around a nil
-// pointer.
-func raceObserver(rc *simrace.Checker) core.RaceObserver {
-	if rc == nil {
-		return nil
-	}
-	return rc
 }
 
 func sortInts(xs []int) {
@@ -678,9 +575,9 @@ func (w *worker) setEvBit(part int, iter int64, ok bool) {
 	}
 }
 
-// run is the partition's main loop. onExit is called exactly once with
-// the exit time.
-func (w *worker) run(onExit func(sim.Time)) {
+// run is the partition's main loop. onExit is called exactly once, as
+// the partition exits.
+func (w *worker) run(onExit func()) {
 	cfg := w.cfg
 	for t := int64(0); ; t++ {
 		if w.task.NRecv(pvm.Any, doneTag) != nil {
@@ -855,7 +752,7 @@ func (w *worker) syncBarrier(t int64) bool {
 
 // finish publishes exit sentinels on every location this partition
 // writes, so no blocked peer waits forever, then reports exit.
-func (w *worker) finish(onExit func(sim.Time)) {
+func (w *worker) finish(onExit func()) {
 	if w.cfg.Mode != core.Sync {
 		w.flushBatch(int64(len(w.log)) - 1)
 	}
@@ -863,7 +760,7 @@ func (w *worker) finish(onExit func(sim.Time)) {
 		w.node.Write(w.topo.bundleLocs[w.p][dst], sentinelIter, nil)
 	}
 	w.node.Write(w.topo.progLocs[w.p], sentinelIter, nil)
-	onExit(w.task.Now())
+	onExit()
 }
 
 // sampleIter draws this partition's nodes for iteration t in the

@@ -59,6 +59,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode returns the mode whose String is name ("sync", "async" or
+// "global_read").
+func ParseMode(name string) (Mode, error) {
+	for _, m := range []Mode{Sync, Async, NonStrict} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // NoValue is the iteration number reported for a location never yet
 // received.
 const NoValue int64 = -1 << 62

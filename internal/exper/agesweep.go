@@ -9,7 +9,6 @@ import (
 	"nscc/internal/ga"
 	"nscc/internal/ga/functions"
 	"nscc/internal/metrics"
-	"nscc/internal/netsim"
 	"nscc/internal/runner"
 	"nscc/internal/sim"
 )
@@ -101,12 +100,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				Fn: fn, Par: par, P: p, Mode: core.Sync,
 				FixedGens: opts.SyncGens, Seed: seed, Calib: calib, LoaderBps: load,
 				Net:    opts.netOverride(),
+				Switch: opts.switchConfig(),
 				Faults: opts.Faults, Reliable: opts.Reliable, ReadTimeout: opts.ReadTimeout,
 				RaceCheck: opts.SimRace,
-			}
-			if opts.UseSwitch {
-				sw := netsim.DefaultSwitchConfig()
-				syncCfg.Switch = &sw
 			}
 			syncRes, err := ga.RunIsland(syncCfg)
 			if err != nil {
@@ -169,12 +165,9 @@ func AgeSweep(w io.Writer, opts Options, fn *functions.Function, p int, loads []
 				Seed:    seed, Calib: calib, LoaderBps: loads[li],
 				DynamicAge: dynamic,
 				Net:        opts.netOverride(),
+				Switch:     opts.switchConfig(),
 				Faults:     opts.Faults, Reliable: opts.Reliable, ReadTimeout: opts.ReadTimeout,
 				RaceCheck: opts.SimRace,
-			}
-			if opts.UseSwitch {
-				sw := netsim.DefaultSwitchConfig()
-				cfg.Switch = &sw
 			}
 			r, err := ga.RunIsland(cfg)
 			if err != nil {

@@ -176,6 +176,16 @@ func (o Options) netOverride() *netsim.Config {
 	return &nc
 }
 
+// switchConfig returns the crossbar switch config UseSwitch selects, or
+// nil for the shared bus.
+func (o Options) switchConfig() *netsim.SwitchConfig {
+	if !o.UseSwitch {
+		return nil
+	}
+	sw := netsim.DefaultSwitchConfig()
+	return &sw
+}
+
 // Seed streams keep the drivers' cell spaces disjoint: every call site
 // derives seeds as runner.DeriveSeed(opts.Seed, stream, dims...), so a
 // GA cell can never alias a Bayes trial, an age-sweep trial, or a
@@ -275,14 +285,11 @@ func gaTrial(fn *functions.Function, p int, seed int64, opts Options, loadBps fl
 		Calib:       calib,
 		LoaderBps:   loadBps,
 		Net:         opts.netOverride(),
+		Switch:      opts.switchConfig(),
 		Faults:      opts.Faults,
 		Reliable:    opts.Reliable,
 		ReadTimeout: opts.ReadTimeout,
 		RaceCheck:   opts.SimRace,
-	}
-	if opts.UseSwitch {
-		sw := netsim.DefaultSwitchConfig()
-		base.Switch = &sw
 	}
 
 	out := trialOut{

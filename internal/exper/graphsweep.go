@@ -7,7 +7,6 @@ import (
 
 	"nscc/internal/ckpt"
 	"nscc/internal/graph"
-	"nscc/internal/netsim"
 	"nscc/internal/runner"
 	"nscc/internal/sim"
 )
@@ -90,14 +89,11 @@ func graphTrial(g *graph.Graph, algo graph.Algo, p int, seed int64, opts Options
 			Seed:          seed,
 			Calib:         calib,
 			Net:           opts.netOverride(),
+			Switch:        opts.switchConfig(),
 			Faults:        opts.Faults,
 			Reliable:      opts.Reliable,
 			ReadTimeout:   opts.ReadTimeout,
 			RaceCheck:     opts.SimRace,
-		}
-		if opts.UseSwitch {
-			sw := netsim.DefaultSwitchConfig()
-			cfg.Switch = &sw
 		}
 		r, err := graph.Run(cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package ga
 import (
 	"math"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/ga/functions"
@@ -10,7 +11,6 @@ import (
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
 )
@@ -212,60 +212,15 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		panic("ga: Async/NonStrict modes require MaxGens")
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.Hier != nil {
-		net = netsim.NewHier(eng, *cfg.Hier)
-	} else if cfg.Switch != nil {
-		sw := netsim.NewSwitch(eng, *cfg.Switch)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.Net != nil {
-			netCfg = *cfg.Net
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
-	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
-	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Message pooling is safe only without fault injection: duplication
-	// re-delivers the same payload pointer, which would double-release.
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
+	cl := cluster.New(cluster.Config{
+		Seed: cfg.Seed, Tracer: cfg.Tracer,
+		Net: cfg.Net, Switch: cfg.Switch, Hier: cfg.Hier,
+		LoaderBps: cfg.LoaderBps, PVM: cfg.PVM,
+		Faults: cfg.Faults, Reliable: cfg.Reliable, ReadTimeout: cfg.ReadTimeout,
+		RaceCheck: cfg.RaceCheck, Series: cfg.Series,
+	})
 	serFit := cfg.Series.Gauge("ga.avg_fitness")
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	if cfg.LoaderBps > 0 {
-		netsim.StartLoader(net, cfg.LoaderBps, 1024)
-	}
-	nodeOpts := cfg.NodeOpts
-	if cfg.ReadTimeout > 0 {
-		nodeOpts.ReadTimeout = cfg.ReadTimeout
-	}
-	nodeOpts.Series = cfg.Series
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
-		nodeOpts.Races = rc
-	}
+	nodeOpts := cl.NodeOptions(cfg.NodeOpts)
 
 	interval := cfg.Interval
 	if interval < 1 {
@@ -301,14 +256,10 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		ReachedTarget: cfg.Mode == core.Sync,
 	}
 	finalAvgs := make([]float64, cfg.P)
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitTimes []sim.Time
-	remaining := cfg.P
 
 	for i := 0; i < cfg.P; i++ {
 		i := i
-		machine.Spawn("island", func(task *pvm.Task) {
+		cl.Machine.Spawn("island", func(task *pvm.Task) {
 			node := core.NewNode(task, nodeOpts)
 			for _, l := range locs {
 				node.Register(l)
@@ -331,17 +282,10 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 				if b := deme.CurrentBest(); b < res.FinalBest {
 					res.FinalBest = b
 				}
-				st := node.Stats()
+				st := cl.Retire(task, node)
 				res.BlockedTime += st.BlockedTime
 				res.Blocked += st.BlockedReads
 				res.Coalesced += st.Coalesced
-				coreStats[i] = st
-				staleHist.Merge(node.Staleness())
-				exitTimes = append(exitTimes, task.Now())
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
 			}
 
 			for gen := int64(0); ; gen++ {
@@ -436,13 +380,8 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		return res, err
-	}
-	for _, t := range exitTimes {
-		if d := t.Sub(0); d > res.Completion {
-			res.Completion = d
-		}
 	}
 	s := 0.0
 	for _, a := range finalAvgs {
@@ -450,50 +389,9 @@ func RunIsland(cfg IslandConfig) (IslandResult, error) {
 	}
 	res.Avg = s / float64(cfg.P)
 	res.OptimumFound = cfg.Fn.OptimumFound(res.Best)
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-	res.WarpWindows = warpSeries.Windows()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		// Copy the warp series into the set as gauge "pvm.warp" (one
-		// sample per 100 ms window, at the window's start) so the export
-		// carries warp alongside the other windowed series.
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range res.WarpWindows {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
-	}
+	fin := cl.Finish(cfg.Mode, cfg.Age)
+	res.Completion, res.Messages, res.NetBytes, res.QueueDelay = fin.Completion, fin.Messages, fin.NetBytes, fin.QueueDelay
+	res.WarpMean, res.WarpMax, res.WarpWindows = fin.WarpMean, fin.WarpMax, fin.WarpWindows
+	res.Telemetry = fin.Telemetry
 	return res, nil
 }

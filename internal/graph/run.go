@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"nscc/internal/cluster"
 	"nscc/internal/core"
 	"nscc/internal/faults"
 	"nscc/internal/metrics"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
 	"nscc/internal/sim"
-	"nscc/internal/simrace"
 	"nscc/internal/trace"
 	"nscc/internal/tseries"
 )
@@ -162,57 +162,16 @@ func Run(cfg Config) (Result, error) {
 	partEps := eps / float64(cfg.P)
 	quiet := cfg.quietDefault()
 
-	eng := sim.NewEngine(cfg.Seed)
-	eng.SetTracer(cfg.Tracer)
-	var net netsim.Fabric
-	if cfg.Switch != nil {
-		sw := netsim.NewSwitch(eng, *cfg.Switch)
-		sw.SetSeries(cfg.Series)
-		net = sw
-	} else {
-		netCfg := netsim.DefaultConfig()
-		if cfg.Net != nil {
-			netCfg = *cfg.Net
-		}
-		bus := netsim.New(eng, netCfg)
-		bus.SetSeries(cfg.Series)
-		net = bus
-	}
-	if cfg.Faults != nil {
-		net = faults.Wrap(net, cfg.Faults)
-	}
-	pvmCfg := pvm.DefaultConfig()
-	if cfg.PVM != nil {
-		pvmCfg = *cfg.PVM
-	}
-	if cfg.Reliable {
-		pvmCfg.Reliable = true
-	}
-	// Pooling is safe only without fault injection (duplication
-	// re-delivers the same payload pointer).
-	pvmCfg.Pooling = cfg.Faults == nil
-	machine := pvm.NewMachine(eng, net, pvmCfg)
-	machine.SetSeries(cfg.Series)
-	warp := metrics.NewWarpMeter()
-	warpSeries := metrics.NewWarpSeries(100 * sim.Millisecond)
+	cl := cluster.New(cluster.Config{
+		Seed: cfg.Seed, Tracer: cfg.Tracer,
+		Net: cfg.Net, Switch: cfg.Switch, PVM: cfg.PVM,
+		Faults: cfg.Faults, Reliable: cfg.Reliable, ReadTimeout: cfg.ReadTimeout,
+		RaceCheck: cfg.RaceCheck, Series: cfg.Series,
+	})
 	serIters := cfg.Series.Counter("graph.iters")
 	serResid := cfg.Series.Gauge("graph.residual")
 	serFrontier := cfg.Series.Gauge("graph.frontier_size")
-	machine.ArrivalHook = func(dst int, m *pvm.Message) {
-		warp.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-		warpSeries.Observe(dst, m.Src, m.SentAt, m.ArrivedAt)
-	}
-	nodeOpts := cfg.NodeOpts
-	if cfg.ReadTimeout > 0 {
-		nodeOpts.ReadTimeout = cfg.ReadTimeout
-	}
-	nodeOpts.Series = cfg.Series
-	var rc *simrace.Checker
-	if cfg.RaceCheck {
-		rc = simrace.New(eng)
-		rc.Attach(machine)
-		nodeOpts.Races = rc
-	}
+	nodeOpts := cl.NodeOptions(cfg.NodeOpts)
 
 	// Partitioning: contiguous vertex blocks; partition q reads the
 	// location of every partition owning a source of one of q's
@@ -276,14 +235,10 @@ func Run(cfg Config) (Result, error) {
 			lastSeen[q][i] = core.NoValue
 		}
 	}
-	coreStats := make([]core.Stats, cfg.P)
-	var staleHist metrics.Histogram
-	var exitTimes []sim.Time
-	remaining := cfg.P
 
 	for p := 0; p < cfg.P; p++ {
 		p := p
-		machine.Spawn("part", func(task *pvm.Task) {
+		cl.Machine.Spawn("part", func(task *pvm.Task) {
 			node := core.NewNode(task, nodeOpts)
 			for _, l := range locs {
 				node.Register(l)
@@ -306,16 +261,9 @@ func Run(cfg Config) (Result, error) {
 				node.Write(locs[p], sentinelIter, append([]float64(nil), owned...))
 				res.Supersteps[p] = iter
 				copy(res.Values[lo:hi], owned)
-				st := node.Stats()
+				st := cl.Retire(task, node)
 				res.BlockedTime += st.BlockedTime
 				res.Blocked += st.BlockedReads
-				coreStats[p] = st
-				staleHist.Merge(node.Staleness())
-				exitTimes = append(exitTimes, task.Now())
-				remaining--
-				if remaining == 0 {
-					eng.Stop()
-				}
 			}
 
 			// report folds one convergence report into the coordinator's
@@ -481,13 +429,8 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		return res, err
-	}
-	for _, t := range exitTimes {
-		if d := t.Sub(0); d > res.Completion {
-			res.Completion = d
-		}
 	}
 	for _, r := range lastResid {
 		res.Residual += r
@@ -495,46 +438,9 @@ func Run(cfg Config) (Result, error) {
 	if math.IsNaN(res.Residual) {
 		res.Residual = math.Inf(1)
 	}
-	st := net.Stats()
-	res.Messages = st.Frames
-	res.NetBytes = st.Bytes
-	res.QueueDelay = st.QueueDelay
-	res.WarpMean = warp.Mean()
-	res.WarpMax = warp.Max()
-
-	tasks := machine.TaskTelemetry()
-	var violations int64
-	for i := range tasks {
-		if i < len(coreStats) {
-			cs := coreStats[i]
-			tasks[i].GlobalReads = cs.GlobalReads
-			tasks[i].BlockedReads = cs.BlockedReads
-			tasks[i].BlockedSecs = cs.BlockedTime.Seconds()
-			tasks[i].ReadTimeouts = cs.ReadTimeouts
-			violations += cs.ReadTimeouts
-		}
-	}
-	res.Telemetry = &metrics.Telemetry{
-		Variant:             cfg.Mode.String(),
-		Age:                 cfg.Age,
-		CompletionSecs:      res.Completion.Seconds(),
-		Tasks:               tasks,
-		Net:                 st.Telemetry(eng.Now().Sub(0)),
-		Staleness:           staleHist.Summary(),
-		WarpMean:            res.WarpMean,
-		WarpMax:             res.WarpMax,
-		StalenessViolations: violations,
-	}
-	if rc != nil {
-		res.Telemetry.Races = rc.Telemetry()
-		res.Telemetry.RaceLocations = rc.Report().Locations
-	}
-	if cfg.Series != nil {
-		serWarp := cfg.Series.Gauge("pvm.warp")
-		for w, v := range warpSeries.Windows() {
-			serWarp.Add(sim.Time(int64(w)*int64(100*sim.Millisecond)), v)
-		}
-		res.Telemetry.Series = cfg.Series.Summaries()
-	}
+	fin := cl.Finish(cfg.Mode, cfg.Age)
+	res.Completion, res.Messages, res.NetBytes, res.QueueDelay = fin.Completion, fin.Messages, fin.NetBytes, fin.QueueDelay
+	res.WarpMean, res.WarpMax = fin.WarpMean, fin.WarpMax
+	res.Telemetry = fin.Telemetry
 	return res, nil
 }

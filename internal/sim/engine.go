@@ -22,9 +22,10 @@ type Engine struct {
 	procs []*Proc
 	nlive int // spawned but not yet finished processes
 
-	current *Proc // process currently executing, nil when the loop runs
-	running bool
-	stopReq bool
+	current   *Proc // process currently executing, nil when the loop runs
+	running   bool
+	stopReq   bool
+	unwinding bool // set by Unwind: resumed processes exit instead of running
 
 	// tracer, when non-nil, receives process start/stop/block/wake and
 	// event-fire records. Every emission site guards with a nil check,
@@ -202,6 +203,26 @@ func (e *Engine) stuckProcs() string {
 		}
 	}
 	return s
+}
+
+// Unwind ends every process that has not finished — one still parked
+// when a run was stopped (a background loader), stuck in a deadlock, or
+// spawned but never started — so its goroutine exits and no longer pins
+// the engine and everything the process references. Each is resumed
+// into runtime.Goexit: no simulated time passes, no event fires and
+// nothing is traced. Call it once a run is over; the engine must not be
+// run again afterwards.
+func (e *Engine) Unwind() {
+	if e.running {
+		panic("sim: Unwind during Run")
+	}
+	e.unwinding = true
+	for _, p := range e.procs {
+		if !p.done {
+			p.resume <- struct{}{}
+			<-p.yield
+		}
+	}
 }
 
 // Live reports the number of spawned processes that have not finished.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"nscc/internal/trace"
 )
@@ -57,6 +58,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 			e.nlive--
 			p.yield <- struct{}{}
 		}()
+		p.exitIfUnwinding()
 		fn(p)
 	}()
 	e.scheduleStep(e.now, p)
@@ -88,6 +90,15 @@ func (e *Engine) step(p *Proc) {
 func (p *Proc) park() {
 	p.yield <- struct{}{}
 	<-p.resume
+	p.exitIfUnwinding()
+}
+
+// exitIfUnwinding ends the process's goroutine when the resume came from
+// Engine.Unwind; the deferred epilogue in Spawn reports it finished.
+func (p *Proc) exitIfUnwinding() {
+	if p.eng.unwinding {
+		runtime.Goexit()
+	}
 }
 
 // wake schedules the process to resume at the current virtual time.
