@@ -8,6 +8,7 @@ import (
 	"nscc/internal/ga/functions"
 	"nscc/internal/netsim"
 	"nscc/internal/pvm"
+	"nscc/internal/rollback"
 	"nscc/internal/sim"
 )
 
@@ -19,9 +20,11 @@ type NamedMicro struct {
 
 // StandardMicros returns the key DES hot-path microbenchmarks every
 // BENCH_*.json snapshot carries: the engine's event/sleep path, the
-// message layer's round trip, and one short Global_Read island-GA run.
-// They mirror the equivalent go-test benchmarks (internal/sim and
-// internal/pvm bench_test files) so numbers line up across harnesses.
+// message layer's round trip, one short Global_Read island-GA run, and
+// the two workload kernels (one F5 evaluation, one iteration of the
+// rollback ledger). They mirror the equivalent go-test benchmarks (the
+// bench_test files of internal/sim, internal/pvm, internal/ga/functions
+// and internal/rollback) so numbers line up across harnesses.
 func StandardMicros() []NamedMicro {
 	return []NamedMicro{
 		{Name: "sim.SleepLoop", Fn: microSleepLoop},
@@ -30,6 +33,8 @@ func StandardMicros() []NamedMicro {
 		{Name: "pvm.PingPong", Fn: microPingPong},
 		{Name: "pvm.Bcast1000", Fn: microBcast1000},
 		{Name: "ga.IslandShortRun", Fn: microIslandRun},
+		{Name: "ga.EvalF5", Fn: microEvalF5},
+		{Name: "rollback.LedgerIteration", Fn: microLedgerIteration},
 	}
 }
 
@@ -140,5 +145,51 @@ func microIslandRun(b *testing.B) {
 		if _, err := ga.RunIsland(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// evalSink keeps the measured evaluation from being optimized away.
+var evalSink float64
+
+func microEvalF5(b *testing.B) {
+	b.ReportAllocs()
+	bits := make([]byte, functions.F5.TotalBits())
+	for i := range bits {
+		bits[i] = byte(i & 1)
+	}
+	scratch := make([]float64, functions.F5.Vars)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evalSink = functions.F5.EvalBitsInto(scratch, bits, false, nil)
+	}
+}
+
+// microLedgerIteration is one Bayes iteration's traffic through the
+// rollback ledger: Consume of a row of remote parents, PutActual of a
+// peer's bundle row one batch ahead, and the Bayes Prune cadence. It
+// warms up first, so every row comes from the free list; its
+// allocs/op is 0 in that steady state.
+func microLedgerIteration(b *testing.B) {
+	b.ReportAllocs()
+	parents := []int{2, 5, 11, 17, 23, 30, 38, 44, 51, 55}
+	const batch, age, warm = 16, 10, 4096
+	s := rollback.NewStore()
+	step := func(t int64) {
+		for _, pa := range parents {
+			s.Consume(pa, t, 0)
+		}
+		for k, n := range parents {
+			s.PutActual(n, t+batch, int(t+int64(k))&1)
+		}
+		if t > 0 && t%1024 == 0 {
+			s.Prune(t - 8*batch - age - 128)
+		}
+	}
+	for t := int64(0); t < warm; t++ {
+		step(t)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + int64(i))
 	}
 }

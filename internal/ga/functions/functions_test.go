@@ -257,3 +257,68 @@ func TestGrayVsBinaryDiffer(t *testing.T) {
 		t.Fatal("EvalBitsGray inconsistent with DecodeGray")
 	}
 }
+
+// TestPow6MatchesMathPow checks pow6 against math.Pow bit for bit at
+// every point F5 can reach: each of the 2^17 decoded gene values minus
+// each foxhole coordinate. Gray decoding is a bijection on the gene's
+// 17-bit values, so it reaches the same grid.
+func TestPow6MatchesMathPow(t *testing.T) {
+	f := F5
+	bits := make([]byte, f.TotalBits())
+	gray := make([]byte, f.TotalBits())
+	x := make([]float64, f.Vars)
+	xg := make([]float64, f.Vars)
+	bpv := f.BitsPerVar
+	for v := uint64(0); v < 1<<uint(bpv); v++ {
+		g := BinaryToGray(v)
+		for i := 0; i < bpv; i++ {
+			shift := uint(bpv - 1 - i)
+			bits[i] = byte(v >> shift & 1)
+			gray[i] = byte(g >> shift & 1)
+		}
+		f.DecodeInto(x, bits, false)
+		f.DecodeInto(xg, gray, true)
+		if xg[0] != x[0] {
+			t.Fatalf("gene %d: gray decode %v, binary decode %v", v, xg[0], x[0])
+		}
+		for _, c := range []float64{-32, -16, 0, 16, 32} {
+			d := x[0] - c
+			if got, want := math.Float64bits(pow6(d)), math.Float64bits(math.Pow(d, 6)); got != want {
+				t.Fatalf("gene %d, coordinate %v: pow6(%v) = %x, math.Pow = %x", v, c, d, got, want)
+			}
+		}
+	}
+}
+
+// f5Reference is Shekel's foxholes written with math.Pow, the form F5
+// used before pow6.
+func f5Reference(x []float64) float64 {
+	sum := 0.002
+	for j := 0; j < 25; j++ {
+		d0 := x[0] - foxholes[0][j]
+		d1 := x[1] - foxholes[1][j]
+		g := float64(j+1) + math.Pow(d0, 6) + math.Pow(d1, 6)
+		sum += 1 / g
+	}
+	return 1 / sum
+}
+
+func TestF5MatchesMathPowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bits := make([]byte, F5.TotalBits())
+	for trial := 0; trial < 10000; trial++ {
+		for i := range bits {
+			bits[i] = byte(rng.Intn(2))
+		}
+		for _, gray := range []bool{false, true} {
+			x := F5.decode(bits, gray)
+			eval := F5.EvalBits
+			if gray {
+				eval = F5.EvalBitsGray
+			}
+			if got, want := eval(bits, nil), f5Reference(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d gray=%v: F5(%v) = %v, reference %v", trial, gray, x, got, want)
+			}
+		}
+	}
+}

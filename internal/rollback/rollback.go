@@ -7,22 +7,11 @@
 // corrections (antimessage + fresh value) cascade downstream.
 //
 // The Store tracks, per (remote node, iteration): the actual values
-// received, the values the local computation consumed (and whether each
-// was a gambled default), and the set of iterations dirtied by
-// conflicting or retracted values.
+// received, the values the local computation consumed, and the set of
+// iterations dirtied by conflicting or retracted values.
 package rollback
 
 import "sort"
-
-type key struct {
-	node int
-	iter int64
-}
-
-type usedRec struct {
-	state   int
-	gambled bool
-}
 
 // Stats counts the store's activity.
 type Stats struct {
@@ -33,33 +22,100 @@ type Stats struct {
 	Rollbacks int64 // iterations recomputed
 }
 
-// Store is one processor's remote-value and gamble ledger.
+// Presence flags of a slot.
+const (
+	hasActual uint8 = 1 << iota // actual holds a received value
+	hasUsed                     // used holds a consumed value
+)
+
+// slot is one (node, iteration) entry of the ledger.
+type slot struct {
+	actual int // received value, valid under hasActual
+	used   int // consumed value, valid under hasUsed
+	flags  uint8
+}
+
+// row is one iteration's slots, indexed by node id.
+type row struct {
+	iter  int64
+	slots []slot
+}
+
+// Store is one processor's remote-value and gamble ledger. It keeps one
+// row per iteration with a slot per node id, sized to the widest node
+// id seen; Prune recycles rows instead of freeing them. Node ids must
+// be non-negative.
 type Store struct {
-	actual map[key]int
-	used   map[int64]map[int]usedRec
-	dirty  map[int64]bool
-	stats  Stats
+	rows  map[int64]*row
+	last  *row   // the most recently used row: callers touch many nodes of one iteration in a row
+	free  []*row // pruned rows awaiting reuse
+	width int    // slots per new row
+	dirty map[int64]bool
+	stats Stats
 }
 
 // NewStore returns an empty ledger.
 func NewStore() *Store {
 	return &Store{
-		actual: make(map[key]int),
-		used:   make(map[int64]map[int]usedRec),
-		dirty:  make(map[int64]bool),
+		rows:  make(map[int64]*row),
+		dirty: make(map[int64]bool),
 	}
 }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats { return s.stats }
 
+// lookup returns iter's row, or nil if the iteration has none.
+func (s *Store) lookup(iter int64) *row {
+	if r := s.last; r != nil && r.iter == iter {
+		return r
+	}
+	r := s.rows[iter]
+	if r != nil {
+		s.last = r
+	}
+	return r
+}
+
+// slot returns the (node, iter) slot, creating the row and widening it
+// as needed.
+func (s *Store) slot(node int, iter int64) *slot {
+	r := s.lookup(iter)
+	if r == nil {
+		if n := len(s.free); n > 0 {
+			r = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			r = new(row)
+		}
+		if cap(r.slots) >= s.width {
+			r.slots = r.slots[:s.width]
+			clear(r.slots)
+		} else {
+			r.slots = make([]slot, s.width)
+		}
+		r.iter = iter
+		s.rows[iter] = r
+		s.last = r
+	}
+	if node >= len(r.slots) {
+		if node >= s.width {
+			s.width = node + 1
+		}
+		r.slots = append(r.slots, make([]slot, s.width-len(r.slots))...)
+	}
+	return &r.slots[node]
+}
+
 // PutActual records the received actual state of node at iter. If the
 // local computation already consumed a different value for that slot
 // (default gamble or since-retracted actual), the iteration is marked
 // dirty and true is returned.
 func (s *Store) PutActual(node int, iter int64, state int) bool {
-	s.actual[key{node, iter}] = state
-	if rec, ok := s.used[iter][node]; ok && rec.state != state {
+	sl := s.slot(node, iter)
+	sl.actual = state
+	sl.flags |= hasActual
+	if sl.flags&hasUsed != 0 && sl.used != state {
 		s.stats.Conflicts++
 		s.dirty[iter] = true
 		return true
@@ -71,8 +127,13 @@ func (s *Store) PutActual(node int, iter int64, state int) bool {
 // sent value of node at iter. If the local computation consumed that
 // value, the iteration is marked dirty and true is returned.
 func (s *Store) Retract(node int, iter int64) bool {
-	delete(s.actual, key{node, iter})
-	if _, ok := s.used[iter][node]; ok {
+	r := s.lookup(iter)
+	if r == nil || node >= len(r.slots) {
+		return false
+	}
+	sl := &r.slots[node]
+	sl.flags &^= hasActual
+	if sl.flags&hasUsed != 0 {
 		s.stats.Retracts++
 		s.dirty[iter] = true
 		return true
@@ -85,19 +146,16 @@ func (s *Store) Retract(node int, iter int64) bool {
 // (a gamble). The consumed value is recorded so later arrivals can be
 // checked against it.
 func (s *Store) Consume(node int, iter int64, def int) (state int, gambled bool) {
-	if v, ok := s.actual[key{node, iter}]; ok {
-		state, gambled = v, false
+	sl := s.slot(node, iter)
+	if sl.flags&hasActual != 0 {
+		state, gambled = sl.actual, false
 		s.stats.Actuals++
 	} else {
 		state, gambled = def, true
 		s.stats.Gambles++
 	}
-	m := s.used[iter]
-	if m == nil {
-		m = make(map[int]usedRec)
-		s.used[iter] = m
-	}
-	m[node] = usedRec{state, gambled}
+	sl.used = state
+	sl.flags |= hasUsed
 	return state, gambled
 }
 
@@ -118,24 +176,26 @@ func (s *Store) HasDirty() bool { return len(s.dirty) > 0 }
 
 // BeginRollback clears iter's consumed-value records and dirty flag and
 // counts the rollback; the caller then recomputes the iteration, during
-// which Consume re-records what the replay uses.
+// which Consume re-records what the replay uses. Actuals are kept.
 func (s *Store) BeginRollback(iter int64) {
 	s.stats.Rollbacks++
 	delete(s.dirty, iter)
-	delete(s.used, iter)
+	if r := s.lookup(iter); r != nil {
+		for i := range r.slots {
+			r.slots[i].flags &^= hasUsed
+		}
+	}
 }
 
 // Prune discards actual/used records older than iter (exclusive) to
 // bound memory on long runs. Dirty iterations are never pruned.
 func (s *Store) Prune(iter int64) {
-	for k := range s.actual {
-		if k.iter < iter && !s.dirty[k.iter] {
-			delete(s.actual, k)
-		}
-	}
-	for it := range s.used {
+	//nscc:maporder -- recycled rows are cleared before reuse, so the free list's order is unobservable
+	for it, r := range s.rows {
 		if it < iter && !s.dirty[it] {
-			delete(s.used, it)
+			delete(s.rows, it)
+			s.free = append(s.free, r)
 		}
 	}
+	s.last = nil
 }

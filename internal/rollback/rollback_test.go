@@ -2,6 +2,7 @@ package rollback
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,31 @@ func TestPrune(t *testing.T) {
 	}
 }
 
+// TestLateOpsBelowHorizon: after a prune, records below the horizon are
+// gone, and late operations there start from an empty slot.
+func TestLateOpsBelowHorizon(t *testing.T) {
+	s := NewStore()
+	s.PutActual(1, 5, 2) // iteration 5's row is the last one touched
+	s.Prune(6)
+	if v, g := s.Consume(1, 5, 7); v != 7 || !g {
+		t.Fatalf("pruned actual still consumed: %d %v", v, g)
+	}
+	if !s.PutActual(1, 5, 2) {
+		t.Fatal("late actual contradicting the late gamble must conflict")
+	}
+	s.Prune(6)
+	if d := s.Dirty(); len(d) != 1 || d[0] != 5 {
+		t.Fatalf("dirty late iteration lost by prune: %v", d)
+	}
+	s.BeginRollback(5)
+	if v, g := s.Consume(1, 5, 7); v != 2 || g {
+		t.Fatalf("rollback must keep the late actual: %d %v", v, g)
+	}
+	if !s.Retract(1, 5) {
+		t.Fatal("retracting the consumed late actual must dirty")
+	}
+}
+
 // Property: a gamble on the eventually-correct value never dirties; a
 // gamble on a wrong value always does.
 func TestGambleOutcomeProperty(t *testing.T) {
@@ -145,87 +171,236 @@ func TestGambleOutcomeProperty(t *testing.T) {
 	}
 }
 
+// oracle is the reference model of a Store: maps of actuals and
+// consumed values, a dirty set and the expected counters.
+type oracle struct {
+	actuals map[oracleSlot]int
+	used    map[oracleSlot]int
+	dirty   map[int64]bool
+	stats   Stats
+}
+
+type oracleSlot struct {
+	node int
+	iter int64
+}
+
+func newOracle() *oracle {
+	return &oracle{actuals: map[oracleSlot]int{}, used: map[oracleSlot]int{}, dirty: map[int64]bool{}}
+}
+
+func (o *oracle) consume(node int, iter int64, def int) (int, bool) {
+	k := oracleSlot{node, iter}
+	v, ok := o.actuals[k]
+	if ok {
+		o.stats.Actuals++
+	} else {
+		v = def
+		o.stats.Gambles++
+	}
+	o.used[k] = v
+	return v, !ok
+}
+
+func (o *oracle) putActual(node int, iter int64, state int) bool {
+	k := oracleSlot{node, iter}
+	o.actuals[k] = state
+	if u, ok := o.used[k]; ok && u != state {
+		o.stats.Conflicts++
+		o.dirty[iter] = true
+		return true
+	}
+	return false
+}
+
+func (o *oracle) retract(node int, iter int64) bool {
+	k := oracleSlot{node, iter}
+	delete(o.actuals, k)
+	if _, ok := o.used[k]; ok {
+		o.stats.Retracts++
+		o.dirty[iter] = true
+		return true
+	}
+	return false
+}
+
+func (o *oracle) beginRollback(iter int64) {
+	o.stats.Rollbacks++
+	delete(o.dirty, iter)
+	for k := range o.used {
+		if k.iter == iter {
+			delete(o.used, k)
+		}
+	}
+}
+
+func (o *oracle) prune(iter int64) {
+	for k := range o.actuals {
+		if k.iter < iter && !o.dirty[k.iter] {
+			delete(o.actuals, k)
+		}
+	}
+	for k := range o.used {
+		if k.iter < iter && !o.dirty[k.iter] {
+			delete(o.used, k)
+		}
+	}
+}
+
+func (o *oracle) sortedDirty() []int64 {
+	out := make([]int64, 0, len(o.dirty))
+	for it := range o.dirty {
+		out = append(out, it)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// agrees reports whether s shows the oracle's dirty set and counters.
+func (o *oracle) agrees(s *Store) bool {
+	if s.HasDirty() != (len(o.dirty) > 0) || s.Stats() != o.stats {
+		return false
+	}
+	got, want := s.Dirty(), o.sortedDirty()
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Ledger operations driven against the oracle.
+const (
+	opConsume = iota
+	opPutActual
+	opRetract
+	opRollbackDirty // BeginRollback on a dirty iteration, if any
+	opRollbackAny   // BeginRollback on an arbitrary iteration
+	opPrune
+)
+
+// apply performs op on both s and o at (node, iter) and reports
+// whether every result agrees.
+func apply(s *Store, o *oracle, rng *rand.Rand, op, node int, iter int64) bool {
+	switch op {
+	case opConsume:
+		def := rng.Intn(3)
+		got, gambled := s.Consume(node, iter, def)
+		want, wantGambled := o.consume(node, iter, def)
+		return got == want && gambled == wantGambled
+	case opPutActual:
+		state := rng.Intn(3)
+		return s.PutActual(node, iter, state) == o.putActual(node, iter, state)
+	case opRetract:
+		return s.Retract(node, iter) == o.retract(node, iter)
+	case opRollbackDirty:
+		ds := s.Dirty()
+		if len(ds) == 0 {
+			return len(o.dirty) == 0
+		}
+		it := ds[rng.Intn(len(ds))]
+		if !o.dirty[it] {
+			return false
+		}
+		s.BeginRollback(it)
+		o.beginRollback(it)
+	case opRollbackAny:
+		s.BeginRollback(iter)
+		o.beginRollback(iter)
+	case opPrune:
+		s.Prune(iter)
+		o.prune(iter)
+	}
+	return true
+}
+
 // TestStoreAgainstOracle drives the Store with random operation
 // sequences and checks every observable against a simple reference
 // model (maps of actuals and consumed values).
 func TestStoreAgainstOracle(t *testing.T) {
-	type slot struct {
-		node int
-		iter int64
-	}
-	f := func(seed int64, opsRaw []uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore()
-		actuals := map[slot]int{}
-		used := map[slot]int{}
-		dirty := map[int64]bool{}
-
-		for _, op := range opsRaw {
-			node := int(op % 3)
-			iter := int64(op/3) % 4
-			k := slot{node, iter}
-			switch rng.Intn(4) {
-			case 0: // Consume
-				def := rng.Intn(3)
-				got, gambled := s.Consume(node, iter, def)
-				wantVal, haveActual := actuals[k]
-				if haveActual {
-					if got != wantVal || gambled {
-						return false
-					}
-				} else if got != def || !gambled {
+	t.Run("narrow", func(t *testing.T) {
+		// Three nodes over four iterations: every slot is hit often.
+		f := func(seed int64, opsRaw []uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			s, o := NewStore(), newOracle()
+			for _, op := range opsRaw {
+				node := int(op % 3)
+				iter := int64(op/3) % 4
+				if !apply(s, o, rng, rng.Intn(4), node, iter) || !o.agrees(s) {
 					return false
-				}
-				used[k] = got
-			case 1: // PutActual
-				state := rng.Intn(3)
-				conflict := s.PutActual(node, iter, state)
-				u, wasUsed := used[k]
-				wantConflict := wasUsed && u != state
-				if conflict != wantConflict {
-					return false
-				}
-				if wantConflict {
-					dirty[iter] = true
-				}
-				actuals[k] = state
-			case 2: // Retract
-				r := s.Retract(node, iter)
-				_, wasUsed := used[k]
-				if r != wasUsed {
-					return false
-				}
-				if wasUsed {
-					dirty[iter] = true
-				}
-				delete(actuals, k)
-			case 3: // BeginRollback on a dirty iteration, if any
-				if len(dirty) == 0 {
-					continue
-				}
-				ds := s.Dirty()
-				if len(ds) != len(dirty) {
-					return false
-				}
-				it := ds[0]
-				if !dirty[it] {
-					return false
-				}
-				s.BeginRollback(it)
-				delete(dirty, it)
-				for k := range used {
-					if k.iter == it {
-						delete(used, k)
-					}
 				}
 			}
-			if s.HasDirty() != (len(dirty) > 0) {
-				return false
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("prune", func(t *testing.T) {
+		// Node ids up to 64 over a cursor that advances through several
+		// 1024-iteration prune windows. Prunes fall at random horizons
+		// behind the cursor, and some operations land late, below the
+		// last horizon. Rollbacks are rare, so dirty iterations
+		// outlive prunes.
+		hot := []int{0, 3, 9, 20, 31, 42, 57, 64}
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s, o := NewStore(), newOracle()
+			var cursor, horizon int64
+			survived := 0 // dirty iterations below a prune's horizon
+			for step := 0; step < 60000; step++ {
+				if rng.Intn(16) == 0 {
+					cursor++
+				}
+				node := hot[rng.Intn(len(hot))]
+				if rng.Intn(20) == 0 {
+					node = rng.Intn(65)
+				}
+				var iter int64
+				switch r := rng.Intn(10); {
+				case r < 8:
+					iter = cursor - int64(rng.Intn(8))
+				case r < 9:
+					iter = cursor + int64(rng.Intn(8))
+				default:
+					iter = horizon - 1 - int64(rng.Intn(8))
+				}
+				var op int
+				switch r := rng.Intn(1000); {
+				case r < 400:
+					op = opConsume
+				case r < 800:
+					op = opPutActual
+				case r < 900:
+					op = opRetract
+				case r < 980:
+					op = opRollbackDirty
+				case r < 998:
+					op = opRollbackAny
+				default:
+					op = opPrune
+					horizon = cursor - int64(rng.Intn(256))
+					iter = horizon
+					for it := range o.dirty {
+						if it < horizon {
+							survived++
+						}
+					}
+				}
+				if !apply(s, o, rng, op, node, iter) || !o.agrees(s) {
+					t.Fatalf("seed %d step %d: op %d at node %d iter %d disagrees with the oracle (stats %+v, want %+v)",
+						seed, step, op, node, iter, s.Stats(), o.stats)
+				}
+			}
+			if st := s.Stats(); st.Conflicts == 0 || st.Retracts == 0 || st.Rollbacks == 0 || survived == 0 || cursor < 3*1024 {
+				t.Fatalf("seed %d: workload too tame: %+v, %d dirty iterations kept by prunes, %d iterations",
+					seed, st, survived, cursor)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
