@@ -3,8 +3,8 @@
 // rack/spine hierarchy), the optional fault injector, the message layer,
 // the warp meters, the background loader and the race checker. The GA,
 // Bayes and graph runners all build their stack here, so the fabric
-// choice, the fault wrapping and the message-pooling rule live in one
-// place and every workload runs on the same machine by construction.
+// choice and the fault wrapping live in one place and every workload
+// runs on the same machine by construction.
 //
 // A run is: New, spawn the tasks on Machine (building each task's
 // coherence node with NodeOptions), Retire each task as it exits, then
@@ -112,9 +112,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Reliable {
 		pvmCfg.Reliable = true
 	}
-	// Message pooling is safe only without fault injection: duplication
-	// re-delivers the same payload pointer, which would double-release.
-	pvmCfg.Pooling = cfg.Faults == nil
 	machine := pvm.NewMachine(eng, net, pvmCfg)
 	machine.SetSeries(cfg.Series)
 

@@ -35,18 +35,6 @@ func TestFabricChoice(t *testing.T) {
 	}
 }
 
-// TestPoolingRule: message pooling is on exactly when no fault plan is
-// applied (duplication would re-deliver, and double-release, a pooled
-// payload).
-func TestPoolingRule(t *testing.T) {
-	if !cluster.New(cluster.Config{}).Machine.Pooling() {
-		t.Error("pooling off without a fault plan")
-	}
-	if cluster.New(cluster.Config{Faults: &faults.Plan{}}).Machine.Pooling() {
-		t.Error("pooling on under a fault plan")
-	}
-}
-
 // TestNodeOptions: the cluster's read timeout and series override the
 // base options only when set, and the race observer is left nil (not a
 // nil pointer in an interface) when race checking is off.

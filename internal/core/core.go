@@ -101,21 +101,24 @@ type updateMsg struct {
 	Value interface{}
 	WAt   sim.Time
 
-	// owner/refs implement pooling (active only when the task's pvm
-	// machine runs with Config.Pooling): owner is the writing node
-	// whose free list the message returns to, refs the number of
-	// readers that have not yet applied it. apply() copies every field
-	// out into the node's buffer, so a reader is done with the message
-	// the moment apply returns and releases its share right there.
+	// owner/refs implement pooling: owner is the writing node whose
+	// free list the message returns to, refs the number of deliveries
+	// that have not yet been applied. apply() copies every field out
+	// into the node's buffer, so a reader is done with the message the
+	// moment apply returns and releases its share right there.
 	owner *Node
 	refs  int
 }
 
+// Retain adds one share for an extra delivery of the message (a fault
+// duplicate); pvm.Message.Retain forwards here.
+func (u *updateMsg) Retain() { u.refs++ }
+
 // release returns one reader's share of a pooled update message,
 // recycling it onto the owning writer's free list when the last
-// reader is done. Unpooled messages (owner nil) pass through.
+// reader is done.
 func (u *updateMsg) release() {
-	if u.owner == nil || u.refs <= 0 {
+	if u.refs <= 0 {
 		return
 	}
 	u.refs--
@@ -270,11 +273,9 @@ type Node struct {
 	stats    Stats
 	stale    metrics.Histogram // observed Global_Read staleness, log-bucketed
 
-	// pooling mirrors the pvm machine's Config.Pooling; wireDone is the
-	// preallocated in-flight-decrement callback (one closure per node
-	// instead of one per write); updFree is the node's updateMsg free
-	// list, refilled by readers through updateMsg.release.
-	pooling  bool
+	// wireDone is the preallocated in-flight-decrement callback (one
+	// closure per node instead of one per write); updFree is the node's
+	// updateMsg free list, refilled by readers through updateMsg.release.
 	wireDone func()
 	updFree  []*updateMsg
 
@@ -297,18 +298,13 @@ func NewNode(task *pvm.Task, opts Options) *Node {
 		serTimeouts: opts.Series.Counter("core.read_timeouts"),
 		serBlocked:  opts.Series.Counter("core.blocked_us"),
 	}
-	n.pooling = task != nil && task.Pooling()
 	n.wireDone = func() { n.inFlight-- }
 	return n
 }
 
 // newUpdateMsg takes an update message from the node's free list (or
-// allocates one) and, when pooling, stamps it for recycling by its
-// nreaders receivers.
+// allocates one) and stamps it for recycling by its nreaders receivers.
 func (n *Node) newUpdateMsg(nreaders int) *updateMsg {
-	if !n.pooling {
-		return &updateMsg{}
-	}
 	var u *updateMsg
 	if ln := len(n.updFree); ln > 0 {
 		u = n.updFree[ln-1]

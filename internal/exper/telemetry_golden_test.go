@@ -31,10 +31,11 @@ import (
 //
 //	go test ./internal/exper -run TestGoldenTelemetry -v -update-goldens
 const (
-	goldenTelemetryGABus  = "1467370895d30f2bce158caa1939265c1dafb5bd51f4824617f3cf3872bc2d6d"
-	goldenTelemetryGAHier = "d8662ec7df09ddc9e54e4ab81b4bf10591a1c73535df2815a3d39cd023be2e12"
-	goldenTelemetryBayes  = "20205f9207a2143f3e1d04146726ef63370e52e3313beb41594f06568121e1ec"
-	goldenTelemetryGraph  = "94c6581e75e4e904f1b7b26e19b30a47a0e64bc9558cd390ebead083fad4b9f0"
+	goldenTelemetryGABus           = "1467370895d30f2bce158caa1939265c1dafb5bd51f4824617f3cf3872bc2d6d"
+	goldenTelemetryGABusUnreliable = "f501f13677bc36b58a0e89272f571300f1f3c11d158a289e0f0e8ec9837e7552"
+	goldenTelemetryGAHier          = "d8662ec7df09ddc9e54e4ab81b4bf10591a1c73535df2815a3d39cd023be2e12"
+	goldenTelemetryBayes           = "20205f9207a2143f3e1d04146726ef63370e52e3313beb41594f06568121e1ec"
+	goldenTelemetryGraph           = "94c6581e75e4e904f1b7b26e19b30a47a0e64bc9558cd390ebead083fad4b9f0"
 )
 
 // telemetryHash fingerprints a run result and its telemetry block. The
@@ -90,17 +91,34 @@ func TestGoldenTelemetry(t *testing.T) {
 		}
 	}
 
-	t.Run("ga-bus", func(t *testing.T) {
-		cfg := gaCfg()
-		cfg.LoaderBps = 2e6
-		cfg.Faults = smokePlan(t)
+	checkGA := func(t *testing.T, cfg ga.IslandConfig, name, want string) {
+		t.Helper()
 		res, err := ga.RunIsland(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tel := res.Telemetry
 		res.Telemetry = nil
-		checkTelemetryGolden(t, "goldenTelemetryGABus", telemetryHash(t, res, tel), goldenTelemetryGABus)
+		checkTelemetryGolden(t, name, telemetryHash(t, res, tel), want)
+	}
+	gaBusCfg := func(t *testing.T) ga.IslandConfig {
+		cfg := gaCfg()
+		cfg.LoaderBps = 2e6
+		cfg.Faults = smokePlan(t)
+		return cfg
+	}
+
+	t.Run("ga-bus", func(t *testing.T) {
+		checkGA(t, gaBusCfg(t), "goldenTelemetryGABus", goldenTelemetryGABus)
+	})
+
+	// The same run over the unreliable transport: the plan's duplicates
+	// reach the application, so each one must take its own share of the
+	// pooled message and of the DSM update it carries.
+	t.Run("ga-bus-unreliable", func(t *testing.T) {
+		cfg := gaBusCfg(t)
+		cfg.Reliable = false
+		checkGA(t, cfg, "goldenTelemetryGABusUnreliable", goldenTelemetryGABusUnreliable)
 	})
 
 	t.Run("ga-hier", func(t *testing.T) {
@@ -110,13 +128,7 @@ func TestGoldenTelemetry(t *testing.T) {
 		h := netsim.DefaultHierConfig()
 		h.RackSize = 4
 		cfg.Hier = &h
-		res, err := ga.RunIsland(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tel := res.Telemetry
-		res.Telemetry = nil
-		checkTelemetryGolden(t, "goldenTelemetryGAHier", telemetryHash(t, res, tel), goldenTelemetryGAHier)
+		checkGA(t, cfg, "goldenTelemetryGAHier", goldenTelemetryGAHier)
 	})
 
 	t.Run("bayes-switch", func(t *testing.T) {

@@ -81,6 +81,10 @@ func Wrap(inner netsim.Fabric, plan *Plan) *Injector {
 	return inj
 }
 
+// retainer is a payload that counts its receivers, such as a pooled
+// pvm message: Retain adds a share for one extra delivery.
+type retainer interface{ Retain() }
+
 // stime converts plan seconds to trace/engine virtual nanoseconds.
 func stime(secs float64) int64 { return int64(secs * 1e9) }
 
@@ -237,13 +241,19 @@ func (j *Injector) deliver(src, dst int, payload interface{}, sentAt sim.Time, h
 		}
 	}
 	// Duplication: the copy arrives after the original plus any jitter,
-	// so a duplicate of a delayed frame is also delayed.
+	// so a duplicate of a delayed frame is also delayed. A payload that
+	// counts its receivers (a pooled pvm message) takes one more share
+	// for the copy before either is delivered, since the first may be
+	// consumed and recycled before the second arrives.
 	dup := false
 	for _, d := range j.plan.Duplicates {
 		if active(now, d.From, d.To) && j.rng.Float64() < d.Prob {
 			dup = true
 			break
 		}
+	}
+	if r, ok := payload.(retainer); dup && ok {
+		r.Retain()
 	}
 	if extra > 0 {
 		j.stats.Delayed++

@@ -127,7 +127,7 @@ type Network struct {
 }
 
 // frame is a pooled in-flight transmission: the delivery callback the
-// bus schedules for a frame's arrival. Pooling it (together with the
+// bus schedules for a frame's arrival. Recycling it (together with the
 // engine's ScheduleRunner) removes the per-send closure allocation from
 // the network hot path. A multicast frame copies its destination list
 // into the frame's own reusable buffer, so callers may recycle theirs
@@ -266,13 +266,6 @@ func (n *Network) txTime(size int) sim.Duration {
 // (the single bus serializes everything).
 func (n *Network) Send(src, dst, size int, payload interface{}) {
 	n.Unicast(src, dst, size, payload, nil)
-}
-
-// SendFull is Send with an onWire callback fired when the frame finishes
-// transmission (leaves the sender's NIC). Senders that bound their
-// in-flight frames use it to implement outbox windows.
-func (n *Network) SendFull(src, dst, size int, payload interface{}, onWire func()) {
-	n.Unicast(src, dst, size, payload, onWire)
 }
 
 // admitFrame performs the shared-bus admission bookkeeping for one

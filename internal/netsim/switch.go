@@ -177,7 +177,7 @@ func (s *Switch) Send(src, dst, size int, payload interface{}) {
 // destination-slice allocation of the general Multicast path.
 func (s *Switch) Unicast(src, dst, size int, payload interface{}, onWire func()) {
 	if src < 0 || src >= len(s.handlers) {
-		panic(fmt.Sprintf("netsim: multicast from unknown node %d", src))
+		panic(fmt.Sprintf("netsim: send from unknown node %d", src))
 	}
 	if dst < 0 || dst >= len(s.handlers) {
 		panic(fmt.Sprintf("netsim: send to unknown node %d", dst))

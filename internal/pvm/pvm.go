@@ -36,11 +36,23 @@ type Message struct {
 	Aux interface{}
 
 	// refs counts receivers that have not yet finished with a pooled
-	// message (Config.Pooling). Zero marks an unpooled message that is
-	// never recycled. Each receiver's share is released when that task
-	// performs its *next* dequeue — see the ownership rule on
-	// Config.Pooling.
+	// message. Zero marks a reliable-mode original, which the
+	// retransmission machinery keeps and which is never recycled. Each
+	// receiver's share is released when that task performs its *next*
+	// dequeue — see the ownership rule on Machine.
 	refs int
+}
+
+// Retain adds one receiver share to a pooled message and forwards the
+// call to its Data when that has a Retain method too. A fabric wrapper
+// that delivers one frame twice (fault duplication) calls it once per
+// extra delivery, before delivering either copy, so neither the message
+// nor its payload is recycled until the last receive has released it.
+func (m *Message) Retain() {
+	m.refs++
+	if r, ok := m.Data.(interface{ Retain() }); ok {
+		r.Retain()
+	}
 }
 
 // Config carries the software overheads of the messaging layer. These
@@ -84,15 +96,7 @@ type Config struct {
 	// selects the default (12, spanning ~80 virtual seconds of
 	// backoff — far beyond any injected fault window).
 	MaxRetries int
-	// Pooling recycles Message objects through a per-machine free list,
-	// making the steady-state send/receive path allocation-free. It
-	// tightens the ownership rule: a received *Message (and its Data)
-	// is valid only until the receiving task's next
-	// Recv/NRecv/RecvTimeout — receivers must copy out what they keep.
-	// All in-repo runners obey this rule already. Off by default, and
-	// it MUST stay off when a fault injector wraps the fabric: fault
-	// duplication re-delivers the same payload pointer, which would
-	// double-release a pooled message.
+	// Deprecated: ignored. Messages are always pooled (see Machine).
 	Pooling bool
 }
 
@@ -107,6 +111,12 @@ func DefaultConfig() Config {
 
 // Machine is a set of communicating tasks on one simulated
 // interconnect (the shared-Ethernet bus or the crossbar switch).
+//
+// A machine recycles Message objects through a per-machine free list,
+// which makes the steady-state send/receive path allocation-free. The
+// ownership rule that comes with it: a received *Message (and its
+// Data) is valid only until the receiving task's next
+// Recv/NRecv/RecvTimeout — receivers must copy out what they keep.
 type Machine struct {
 	eng   *sim.Engine
 	net   netsim.Fabric
@@ -138,17 +148,11 @@ type Machine struct {
 	serRetx     *tseries.Series
 	serBytes    *tseries.Series
 
-	// msgFree is the Message free list (Config.Pooling). Per-machine,
-	// not package-global: sweeps run independent machines on parallel
+	// msgFree is the Message free list. Per-machine, not
+	// package-global: sweeps run independent machines on parallel
 	// goroutines, and a shared pool would race.
 	msgFree []*Message
 }
-
-// Pooling reports whether the machine recycles Message objects (see
-// Config.Pooling). Layers above that keep their own pools — the DSM
-// node's update records, for instance — key off this so one switch
-// governs the whole stack's ownership rules.
-func (m *Machine) Pooling() bool { return m.cfg.Pooling }
 
 // getMsg takes a Message from the free list or allocates one.
 func (m *Machine) getMsg() *Message {
@@ -163,7 +167,8 @@ func (m *Machine) getMsg() *Message {
 
 // releaseMsg returns one receiver's share of a pooled message. The
 // object is cleared and recycled when the last receiver releases it;
-// unpooled messages (refs == 0) pass through untouched. A pooled
+// a message with no shares left (refs == 0) passes through untouched,
+// so a stray extra release cannot free it twice. A pooled
 // message one of whose deliveries was lost never reaches zero and is
 // simply collected by the GC — the pool leaks an object rather than
 // ever recycling early.
@@ -243,7 +248,7 @@ type Task struct {
 
 	// lastRecv is the pooled message handed to the application by the
 	// previous dequeue; its share is released when the next dequeue
-	// begins (the Config.Pooling ownership rule made operational).
+	// begins (the Machine ownership rule made operational).
 	lastRecv *Message
 
 	// wireDone is the preallocated window-release callback for sends
@@ -332,34 +337,33 @@ func (m *Machine) Spawn(name string, fn func(*Task)) *Task {
 		t.sendWL.WakeOne()
 	}
 	m.tasks = append(m.tasks, t)
-	if m.cfg.Reliable {
-		t.node = m.net.Attach(name, func(src int, payload interface{}, sentAt sim.Time) {
+	t.node = m.net.Attach(name, func(src int, payload interface{}, sentAt sim.Time) {
+		if m.cfg.Reliable {
 			t.reliableArrival(payload)
-		})
-	} else {
-		t.node = m.net.Attach(name, func(src int, payload interface{}, sentAt sim.Time) {
-			msg := payload.(*Message)
-			msg.ArrivedAt = m.eng.Now()
-			if m.ArrivalHook != nil {
-				m.ArrivalHook(t.id, msg)
-			}
-			t.traceArrival(msg)
-			t.queue = append(t.queue, msg)
-			m.noteQueue(1)
-			t.wl.WakeAll()
-		})
-	}
+		} else {
+			t.enqueue(payload.(*Message))
+		}
+	})
 	t.proc = m.eng.Spawn(name, func(p *sim.Proc) { fn(t) })
 	return t
 }
 
+// enqueue hands one arrived message to the task's queue: it stamps the
+// arrival time, fires the arrival hook and trace span, and wakes the
+// task if it is blocked in a receive.
+func (t *Task) enqueue(msg *Message) {
+	msg.ArrivedAt = t.m.eng.Now()
+	if t.m.ArrivalHook != nil {
+		t.m.ArrivalHook(t.id, msg)
+	}
+	t.traceArrival(msg)
+	t.queue = append(t.queue, msg)
+	t.m.noteQueue(1)
+	t.wl.WakeAll()
+}
+
 // ID returns the task id.
 func (t *Task) ID() int { return t.id }
-
-// Pooling reports whether the task's machine recycles messages (see
-// Config.Pooling) — the switch the coherence layer keys its own
-// payload pooling off.
-func (t *Task) Pooling() bool { return t.m.cfg.Pooling }
 
 // Proc returns the task's simulation process (for Sleep, Rng, Now).
 func (t *Task) Proc() *sim.Proc { return t.proc }
@@ -407,14 +411,14 @@ func (t *Task) Multicast(dsts []int, tag int, size int, data interface{}, onWire
 	}
 	t.inflight++
 	var msg *Message
-	if t.m.cfg.Pooling && !t.m.cfg.Reliable {
+	if t.m.cfg.Reliable {
 		// Reliable-mode originals are retained by the retransmission
 		// machinery indefinitely, so only the per-delivery copies are
 		// pooled (see deliverReliable).
+		msg = &Message{}
+	} else {
 		msg = t.m.getMsg()
 		msg.refs = len(dsts)
-	} else {
-		msg = &Message{}
 	}
 	msg.Src, msg.Tag, msg.Data, msg.Size, msg.SentAt = t.id, tag, data, size, t.m.eng.Now()
 	t.bytesSent += int64(size)
@@ -496,15 +500,13 @@ func (t *Task) recvCost(msg *Message) sim.Duration {
 // charge accounts a dequeued message to the task: the unpacking CPU
 // time (advancing the task's clock) and the receive-side counters. It
 // is also the pool's release point: dequeuing a message ends the
-// application's ownership of the previous one (Config.Pooling).
+// application's ownership of the previous one (see Machine).
 func (t *Task) charge(msg *Message) {
 	if prev := t.lastRecv; prev != nil {
 		t.lastRecv = nil
 		t.m.releaseMsg(prev)
 	}
-	if msg.refs > 0 {
-		t.lastRecv = msg
-	}
+	t.lastRecv = msg
 	if t.m.RecvHook != nil {
 		t.m.RecvHook(t.id, msg)
 	}
