@@ -21,10 +21,11 @@ type NamedMicro struct {
 // StandardMicros returns the key DES hot-path microbenchmarks every
 // BENCH_*.json snapshot carries: the engine's event/sleep path, the
 // message layer's round trip, one short Global_Read island-GA run, and
-// the two workload kernels (one F5 evaluation, one iteration of the
-// rollback ledger). They mirror the equivalent go-test benchmarks (the
-// bench_test files of internal/sim, internal/pvm, internal/ga/functions
-// and internal/rollback) so numbers line up across harnesses.
+// the workload kernels (one GA generation step, one F5 evaluation, one
+// iteration of the rollback ledger). They mirror the equivalent go-test
+// benchmarks (the bench_test files of internal/sim, internal/pvm,
+// internal/ga, internal/ga/functions and internal/rollback) so numbers
+// line up across harnesses.
 func StandardMicros() []NamedMicro {
 	return []NamedMicro{
 		{Name: "sim.SleepLoop", Fn: microSleepLoop},
@@ -33,6 +34,7 @@ func StandardMicros() []NamedMicro {
 		{Name: "pvm.PingPong", Fn: microPingPong},
 		{Name: "pvm.Bcast1000", Fn: microBcast1000},
 		{Name: "ga.IslandShortRun", Fn: microIslandRun},
+		{Name: "ga.NextGeneration", Fn: microNextGeneration},
 		{Name: "ga.EvalF5", Fn: microEvalF5},
 		{Name: "rollback.LedgerIteration", Fn: microLedgerIteration},
 	}
@@ -141,6 +143,19 @@ func microIslandRun(b *testing.B) {
 		if _, err := ga.RunIsland(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// microNextGeneration is one generation step of a DeJong deme on F1,
+// N=50, evaluated once up front: selection, crossover, geometric-gap
+// mutation and elitism. Its allocs/op is 0.
+func microNextGeneration(b *testing.B) {
+	b.ReportAllocs()
+	d := ga.NewDeme(functions.F1, ga.DeJongParams(), sim.NewEngine(1).NewRng(0))
+	d.EvaluateAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.NextGeneration()
 	}
 }
 

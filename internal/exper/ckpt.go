@@ -15,18 +15,20 @@ import (
 // ckptSchema versions the cached cell payloads. Bump it whenever a
 // journaled struct (trialOut, bayesTrialOut, ageRefOut, ageCellOut,
 // Table2Row) or the semantics of a cell change, so stale journals
-// invalidate instead of replaying wrong bytes.
-const ckptSchema = 2
+// invalidate instead of replaying wrong bytes. Schema 3: GA mutation
+// draws geometric gaps, so every GA cell's result changed.
+const ckptSchema = 3
 
 // sweepSpace fingerprints everything outside a cell's own coordinates
-// that determines its result: the schema version, the sweep identity,
-// and every Options knob that reaches the simulations. Trials, Procs,
-// and Workers are deliberately absent — they select which cells exist
-// (or how they are scheduled), not what any one cell computes, so a
-// shortened or re-parallelized rerun still hits.
-func (o Options) sweepSpace(sweep string) ckpt.Key {
+// that determines its result: the schema version (ckptSchema outside
+// tests), the sweep identity, and every Options knob that reaches the
+// simulations. Trials, Procs, and Workers are deliberately absent —
+// they select which cells exist (or how they are scheduled), not what
+// any one cell computes, so a shortened or re-parallelized rerun still
+// hits.
+func (o Options) sweepSpace(schema int64, sweep string) ckpt.Key {
 	fp := ckpt.NewFingerprint("nscc/exper/space")
-	fp.I64("schema", ckptSchema)
+	fp.I64("schema", schema)
 	fp.Str("sweep", sweep)
 	fp.I64("seed", o.Seed)
 	fp.I64("sync_gens", o.SyncGens)
@@ -59,7 +61,7 @@ func (o Options) sweepMemo(sweep string, key func(int) ckpt.Key) (runner.Memo, e
 	if o.Ckpt == nil {
 		return nil, nil
 	}
-	m, err := o.Ckpt.Memo(sweep, o.sweepSpace(sweep), key, nil)
+	m, err := o.Ckpt.Memo(sweep, o.sweepSpace(ckptSchema, sweep), key, nil)
 	if err != nil {
 		return nil, err
 	}

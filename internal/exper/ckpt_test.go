@@ -8,6 +8,7 @@ import (
 
 	"nscc/internal/ckpt"
 	"nscc/internal/ga/functions"
+	"nscc/internal/metrics"
 )
 
 // runFigure2 renders Figure 2 and returns the exact report text, so the
@@ -97,6 +98,90 @@ func TestFigure2CheckpointResume(t *testing.T) {
 		t.Fatalf("invalidation counters %+v, want 2 invalidated / 0 hits / 2 misses", c)
 	}
 	closeStore(t, staleOpts.Ckpt)
+}
+
+// TestFigure2OldSchemaJournalNotReplayed: a Figure 2 journal written
+// under the previous schema, for exactly this configuration and cell
+// keys, must invalidate on resume instead of splicing its cells into
+// the new results. Its records hold real but stale cell results (from
+// a run with different SyncGens, which the cell keys do not cover), and
+// a control journal carrying the same records under the current schema
+// shows they would replay if the schema did not exclude them.
+func TestFigure2OldSchemaJournalNotReplayed(t *testing.T) {
+	opts := tinyOpts()
+	clean := runFigure2(t, opts)
+	fns := []*functions.Function{functions.F1, functions.F5}
+	var keys []ckpt.Key
+	for _, p := range opts.Procs {
+		for _, fn := range fns {
+			for trial := 0; trial < opts.Trials; trial++ {
+				keys = append(keys, gaCellKey("figure2", fn, p, 0, trial, gaCellSeed(opts, trial, fn, p)))
+			}
+		}
+	}
+
+	// Stale cell payloads: the same cells at a different SyncGens.
+	staleDir := t.TempDir()
+	staleOpts := opts
+	staleOpts.SyncGens = opts.SyncGens + 10
+	staleOpts.Ckpt = ckpt.NewStore(staleDir, false)
+	stale := runFigure2(t, staleOpts)
+	if stale == clean {
+		t.Fatal("stale configuration renders the same report; the test has no teeth")
+	}
+	closeStore(t, staleOpts.Ckpt)
+	src, err := ckpt.OpenJournal(filepath.Join(staleDir, "figure2.ckpt"), staleOpts.sweepSpace(ckptSchema, "figure2"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(keys))
+	for i, k := range keys {
+		var ok bool
+		if payloads[i], ok = src.Get(k); !ok {
+			t.Fatalf("stale journal lacks cell %d", i)
+		}
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// forge writes the stale records into a figure2 journal for opts
+	// under the given schema, then resumes Figure 2 from it.
+	forge := func(schema int64) (string, metrics.CacheTelemetry) {
+		dir := t.TempDir()
+		j, err := ckpt.OpenJournal(filepath.Join(dir, "figure2.ckpt"), opts.sweepSpace(schema, "figure2"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if err := j.Put(k, payloads[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		resumed := opts
+		resumed.Ckpt = ckpt.NewStore(dir, true)
+		got := runFigure2(t, resumed)
+		c := resumed.Ckpt.Counters()
+		closeStore(t, resumed.Ckpt)
+		return got, c
+	}
+
+	n := int64(len(keys))
+	if got, c := forge(ckptSchema); got != stale || c.Hits != n {
+		t.Fatalf("control: current-schema journal not replayed (counters %+v)", c)
+	}
+	// Schema 2 journals hold GA cells computed with one RNG draw per
+	// mutated bit; geometric gap sampling changed every GA result.
+	got, c := forge(2)
+	if got != clean {
+		t.Fatalf("old-schema journal leaked into the results:\n%s\n--- want ---\n%s", got, clean)
+	}
+	if c.Invalidated != n || c.Hits != 0 || c.Misses != n {
+		t.Fatalf("old-schema counters %+v, want %d invalidated / 0 hits / %d misses", c, n, n)
+	}
 }
 
 // TestAgeSweepCheckpointResume covers a two-journal sweep (references

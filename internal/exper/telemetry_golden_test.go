@@ -30,10 +30,15 @@ import (
 // mismatch. Regenerate only after an intentional result-affecting change:
 //
 //	go test ./internal/exper -run TestGoldenTelemetry -v -update-goldens
+//
+// Provenance: the Bayes and graph pins date from their first capture.
+// The three GA pins were re-pinned once, deliberately, when GA mutation
+// moved to geometric gap sampling (same flip law, different GA draw
+// sequence).
 const (
-	goldenTelemetryGABus           = "1467370895d30f2bce158caa1939265c1dafb5bd51f4824617f3cf3872bc2d6d"
-	goldenTelemetryGABusUnreliable = "f501f13677bc36b58a0e89272f571300f1f3c11d158a289e0f0e8ec9837e7552"
-	goldenTelemetryGAHier          = "d8662ec7df09ddc9e54e4ab81b4bf10591a1c73535df2815a3d39cd023be2e12"
+	goldenTelemetryGABus           = "95e213cb08f670e010c3f1b7f5df0280a2b61df2e2febbb369e24d5cecb54f3e"
+	goldenTelemetryGABusUnreliable = "9c4e6882d65aab25e1bb8f6f6b631d4b2deb8edbbc876eb9712571a08f70d768"
+	goldenTelemetryGAHier          = "a8eb234f4bc5e20289fb0ed5691f004bb1a6fe8d329a6f81c7928a5bd5831271"
 	goldenTelemetryBayes           = "20205f9207a2143f3e1d04146726ef63370e52e3313beb41594f06568121e1ec"
 	goldenTelemetryGraph           = "94c6581e75e4e904f1b7b26e19b30a47a0e64bc9558cd390ebead083fad4b9f0"
 )

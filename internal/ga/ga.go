@@ -57,7 +57,7 @@ func (ind Individual) Clone() Individual {
 // steady-state generation loop allocates nothing.
 type Deme struct {
 	Fn  *functions.Function
-	Par Params
+	Par Params // fixed after NewDeme, which precomputes from M
 	rng *rand.Rand
 
 	pop  []Individual
@@ -79,8 +79,24 @@ type Deme struct {
 	idx  []int     // index-sort scratch, reused per call
 	xbuf []float64 // objective decode scratch, reused per evaluation
 
+	// skip is the number of mutable bits left before the next flip. It
+	// carries across individuals and generations, so the concatenation
+	// of every bit mutate visits is one iid Bernoulli(M) sequence.
+	// logKeep is log1p(-M), the log of the per-bit keep probability.
+	skip    int64
+	logKeep float64
+
 	evals int64 // total objective evaluations computed (cache misses)
 }
+
+const (
+	// neverFlip is the skip counter of a deme with M <= 0: mutate
+	// leaves it in place, so no bit ever flips.
+	neverFlip = math.MaxInt64
+	// maxGap clamps a drawn gap (only tiny M reach it) so skip+1+gap
+	// cannot overflow and stays below neverFlip.
+	maxGap = math.MaxInt64 / 4
+)
 
 // newPopulation allocates n individuals of bits chromosome bits each,
 // backed by one contiguous arena.
@@ -117,6 +133,8 @@ func NewDeme(fn *functions.Function, par Params, rng *rand.Rand) *Deme {
 	d.xbuf = make([]float64, fn.Vars)
 	d.best.Bits = make([]byte, bits)
 	d.scratch.Bits = make([]byte, bits)
+	d.logKeep = math.Log1p(-par.M)
+	d.skip = d.nextGap()
 	return d
 }
 
@@ -273,8 +291,7 @@ func rouletteIndex(cum []float64, total float64, rng *rand.Rand) int {
 // probability M, and elitism, replacing the population. G<1 keeps a
 // (1-G) fraction of the old population untouched. The new generation
 // is built in the deme's second buffer and the buffers swap, so the
-// steady-state loop is allocation-free; the RNG draw sequence is
-// identical to the old clone-per-child implementation.
+// steady-state loop is allocation-free.
 func (d *Deme) NextGeneration() {
 	cum := d.scaledCum()
 	total := 0.0
@@ -363,18 +380,44 @@ func crossover(a, b *Individual, rng *rand.Rand) {
 }
 
 // mutate flips each bit with probability M, invalidating the cache when
-// any bit flips. The loop is the profile's hottest GA frame after the
-// RNG itself, so the per-iteration state lives in locals.
+// any bit flips. It uses geometric gap sampling, same iid law as one
+// Bernoulli(M) draw per bit: the deme's skip counter says how many bits
+// to pass over before the next flip, and after each flip the next gap
+// is drawn. At the paper's M=0.001 that is about one draw per thousand
+// bits instead of one per bit.
 func (d *Deme) mutate(ind *Individual) {
-	bits, m, rng := ind.Bits, d.Par.M, d.rng
-	valid := ind.Valid
-	for i := range bits {
-		if rng.Float64() < m {
-			bits[i] ^= 1
-			valid = false
+	n := int64(len(ind.Bits))
+	if d.skip >= n {
+		if d.skip != neverFlip {
+			d.skip -= n
 		}
+		return
 	}
-	ind.Valid = valid
+	for d.skip < n {
+		ind.Bits[d.skip] ^= 1
+		ind.Valid = false
+		d.skip += 1 + d.nextGap()
+	}
+	d.skip -= n
+}
+
+// nextGap returns the number of bits that keep their value before the
+// next flip: Geometric(M) on {0, 1, 2, ...}, drawn by inversion as
+// floor(log(U)/log1p(-M)) with U uniform on (0,1]. M <= 0 never flips
+// and M >= 1 flips every bit; neither draws.
+func (d *Deme) nextGap() int64 {
+	m := d.Par.M
+	switch {
+	case !(m > 0): // also NaN, which never compares true
+		return neverFlip
+	case m >= 1:
+		return 0
+	}
+	g := math.Floor(math.Log(1-d.rng.Float64()) / d.logKeep)
+	if g >= maxGap {
+		return maxGap
+	}
+	return int64(g)
 }
 
 // BestK returns copies of the k fittest current individuals, fittest
